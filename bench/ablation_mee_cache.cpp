@@ -12,7 +12,6 @@
 #include "core/odrips.hh"
 #include "exec/parallel_sweep.hh"
 #include "sim/random.hh"
-#include "store/profile_store.hh"
 
 using namespace odrips;
 
@@ -21,10 +20,6 @@ main(int argc, char **argv)
 {
     Logger::quiet(true);
     exec::setDefaultJobs(resolveJobs(argc, argv));
-    // ODRIPS_STORE=dir attaches the persistent result store behind
-    // the profile cache; the backend reports into the stderr
-    // telemetry, so result tables stay byte-identical either way.
-    const auto attached_store = store::attachGlobalStoreFromEnv();
 
     std::cout << "ABLATION: MEE metadata cache size vs context transfer\n\n";
 

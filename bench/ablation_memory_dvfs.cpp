@@ -16,7 +16,6 @@
 #include "core/memory_dvfs.hh"
 #include "core/odrips.hh"
 #include "exec/parallel_sweep.hh"
-#include "store/profile_store.hh"
 
 using namespace odrips;
 
@@ -25,10 +24,6 @@ main(int argc, char **argv)
 {
     Logger::quiet(true);
     exec::setDefaultJobs(resolveJobs(argc, argv));
-    // ODRIPS_STORE=dir attaches the persistent result store behind
-    // the profile cache; the backend reports into the stderr
-    // telemetry, so result tables stay byte-identical either way.
-    const auto attached_store = store::attachGlobalStoreFromEnv();
 
     std::cout << "ABLATION: memory DVFS (the paper's Sec. 8.2 "
                  "suggestion) under ODRIPS\n\n";

@@ -11,7 +11,6 @@
 #include <iostream>
 
 #include "core/odrips.hh"
-#include "store/profile_store.hh"
 
 using namespace odrips;
 
@@ -19,10 +18,6 @@ int
 main()
 {
     Logger::quiet(true);
-    // ODRIPS_STORE=dir attaches the persistent result store behind
-    // the profile cache; the backend reports into the stderr
-    // telemetry, so result tables stay byte-identical either way.
-    const auto attached_store = store::attachGlobalStoreFromEnv();
 
     const PlatformConfig base_cfg = skylakeConfig();
     const double frequencies[] = {0.8e9, 1.0e9, 1.5e9};
@@ -71,8 +66,8 @@ main()
     std::cout << "\nShape check: the best operating point lies between "
                  "0.8 and 1.5 GHz\n(race-to-sleep pays off only while "
                  "the core stays at the Vmin floor).\n";
-    // Cache/store/sweep counters go to stderr so the tables above
-    // stay byte-identical for any --jobs value or attached store.
+    // Cache/sweep counters go to stderr so the tables above
+    // stay byte-identical for any --jobs value.
     stats::printRunTelemetry(std::cerr);
     return 0;
 }

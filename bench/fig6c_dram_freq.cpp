@@ -11,7 +11,6 @@
 #include <iostream>
 
 #include "core/odrips.hh"
-#include "store/profile_store.hh"
 
 using namespace odrips;
 
@@ -19,10 +18,6 @@ int
 main()
 {
     Logger::quiet(true);
-    // ODRIPS_STORE=dir attaches the persistent result store behind
-    // the profile cache; the backend reports into the stderr
-    // telemetry, so result tables stay byte-identical either way.
-    const auto attached_store = store::attachGlobalStoreFromEnv();
 
     const PlatformConfig base_cfg = skylakeConfig();
     const double rates[] = {1.6e9, 1.067e9, 0.8e9};
@@ -60,8 +55,8 @@ main()
         << "\nShape check: small average-power savings at lower DRAM\n"
            "frequency; entry/exit latencies grow with the longer\n"
            "context transfer — negligible against the 30 s residency.\n";
-    // Cache/store/sweep counters go to stderr so the tables above
-    // stay byte-identical for any --jobs value or attached store.
+    // Cache/sweep counters go to stderr so the tables above
+    // stay byte-identical for any --jobs value.
     stats::printRunTelemetry(std::cerr);
     return 0;
 }

@@ -14,7 +14,6 @@
 #include <iostream>
 
 #include "core/odrips.hh"
-#include "store/profile_store.hh"
 
 using namespace odrips;
 
@@ -22,10 +21,6 @@ int
 main()
 {
     Logger::quiet(true);
-    // ODRIPS_STORE=dir attaches the persistent result store behind
-    // the profile cache; the backend reports into the stderr
-    // telemetry, so result tables stay byte-identical either way.
-    const auto attached_store = store::attachGlobalStoreFromEnv();
 
     const PlatformConfig dram_cfg = skylakeConfig();
     PlatformConfig pcm_cfg = dram_cfg;
@@ -80,8 +75,8 @@ main()
                  "costlier active-window\n  accesses, not by its "
                  "transitions — it needs dwell to amortize the C0 "
                  "penalty.\n";
-    // Cache/store/sweep counters go to stderr so the tables above
-    // stay byte-identical for any --jobs value or attached store.
+    // Cache/sweep counters go to stderr so the tables above
+    // stay byte-identical for any --jobs value.
     stats::printRunTelemetry(std::cerr);
     return 0;
 }

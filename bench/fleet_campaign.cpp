@@ -19,7 +19,7 @@
  *     fleet_campaign --odwl=pop.odwl --devices=1000     # replay it
  *
  * scripts/bench.sh times the binary externally with `date` and records
- * device_days_per_second (cold vs warm vs store-hot) in
+ * device_days_per_second (cold vs warm) in
  * BENCH_kernel.json.
  */
 
@@ -29,7 +29,6 @@
 
 #include "fleet/campaign.hh"
 #include "sim/logging.hh"
-#include "store/profile_store.hh"
 #include "workload/odwl.hh"
 
 using namespace odrips;
@@ -93,10 +92,6 @@ main(int argc, char **argv)
     Logger::quiet(true);
     exec::setDefaultJobs(resolveJobs(argc, argv));
     Options opt = parseArgs(argc, argv);
-
-    // ODRIPS_STORE=dir routes repeat profiles through the persistent
-    // result store behind the cycle-profile cache.
-    const auto attached = store::attachGlobalStoreFromEnv();
 
     if (!opt.loadOdwl.empty()) {
         try {

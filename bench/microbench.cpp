@@ -8,15 +8,11 @@
 
 #include <benchmark/benchmark.h>
 
-#include <dirent.h>
-#include <unistd.h>
-
 #include "arch/dispatch.hh"
 #include "core/odrips.hh"
 #include "core/profile_cache.hh"
 #include "flows/context_fsm.hh"
 #include "security/ctr_mode.hh"
-#include "store/result_store.hh"
 
 using namespace odrips;
 
@@ -361,99 +357,6 @@ BM_CycleProfileCached(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CycleProfileCached);
-
-/**
- * Persistent result store primitives (src/store/). LookupHot is the
- * latency a batched what-if query pays when its key is already on
- * disk: one map probe + one payload decode out of the mapped segment.
- * Insert is the buffered write-back cost, including the amortised
- * segment seal every ResultStore::flushThreshold inserts.
- */
-struct ScratchStoreDir
-{
-    std::string path;
-
-    ScratchStoreDir()
-    {
-        path = "/tmp/odrips-microbench-store-" +
-               std::to_string(static_cast<unsigned long>(::getpid()));
-        remove();
-    }
-
-    ~ScratchStoreDir() { remove(); }
-
-    void
-    remove() const
-    {
-        if (DIR *dir = ::opendir(path.c_str())) {
-            while (const dirent *entry = ::readdir(dir)) {
-                const std::string name = entry->d_name;
-                if (name != "." && name != "..")
-                    ::unlink((path + "/" + name).c_str());
-            }
-            ::closedir(dir);
-            ::rmdir(path.c_str());
-        }
-    }
-};
-
-void
-BM_StoreLookupHot(benchmark::State &state)
-{
-    Logger::quiet(true);
-    const ScratchStoreDir scratch;
-    const PlatformConfig cfg = skylakeConfig();
-    const TechniqueSet techniques = TechniqueSet::odrips();
-    const CyclePowerProfile profile =
-        measureCycleProfile(cfg, techniques);
-    const store::StoredResult result =
-        store::makeStoredResult(profile, cfg);
-
-    constexpr std::uint64_t keys = 256;
-    {
-        store::ResultStore writer(scratch.path,
-                                  store::ResultStore::Mode::ReadWrite);
-        for (std::uint64_t i = 0; i < keys; ++i)
-            writer.insert(ProfileKey{i, ~i}, result);
-        writer.flush();
-    }
-
-    // Reopen so every lookup decodes out of the mmapped segments, not
-    // the in-memory pending batch.
-    store::ResultStore db(scratch.path,
-                          store::ResultStore::Mode::ReadOnly);
-    std::uint64_t i = 0;
-    for (auto _ : state) {
-        const ProfileKey key{i % keys, ~(i % keys)};
-        ++i;
-        benchmark::DoNotOptimize(db.lookup(key));
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_StoreLookupHot);
-
-void
-BM_StoreInsert(benchmark::State &state)
-{
-    Logger::quiet(true);
-    const ScratchStoreDir scratch;
-    const PlatformConfig cfg = skylakeConfig();
-    const TechniqueSet techniques = TechniqueSet::odrips();
-    const CyclePowerProfile profile =
-        measureCycleProfile(cfg, techniques);
-    const store::StoredResult result =
-        store::makeStoredResult(profile, cfg);
-
-    store::ResultStore db(scratch.path,
-                          store::ResultStore::Mode::ReadWrite);
-    std::uint64_t i = 0;
-    for (auto _ : state) {
-        db.insert(ProfileKey{i, i * 2654435761u}, result);
-        ++i;
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_StoreInsert);
 
 void
 BM_FullStandbyCycle(benchmark::State &state)

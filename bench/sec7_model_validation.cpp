@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "core/odrips.hh"
-#include "store/profile_store.hh"
 
 using namespace odrips;
 
@@ -24,10 +23,6 @@ int
 main()
 {
     Logger::quiet(true);
-    // ODRIPS_STORE=dir attaches the persistent result store behind
-    // the profile cache; the backend reports into the stderr
-    // telemetry, so result tables stay byte-identical either way.
-    const auto attached_store = store::attachGlobalStoreFromEnv();
 
     std::cout << "SEC 7: power-model validation — analytic Eq. 1 vs "
                  "event-driven simulation\n\n";
@@ -80,8 +75,8 @@ main()
               << stats::fmtPercent(worst)
               << "  (paper reports ~95% for its power model vs "
                  "post-silicon)\n";
-    // Cache/store/sweep counters go to stderr so the tables above
-    // stay byte-identical for any --jobs value or attached store.
+    // Cache/sweep counters go to stderr so the tables above
+    // stay byte-identical for any --jobs value.
     stats::printRunTelemetry(std::cerr);
     return 0;
 }

@@ -7,7 +7,6 @@
 #include <iostream>
 
 #include "core/odrips.hh"
-#include "store/profile_store.hh"
 
 using namespace odrips;
 
@@ -15,10 +14,6 @@ int
 main()
 {
     Logger::quiet(true);
-    // ODRIPS_STORE=dir attaches the persistent result store behind
-    // the profile cache; the backend reports into the stderr
-    // telemetry, so result tables stay byte-identical either way.
-    const auto attached_store = store::attachGlobalStoreFromEnv();
 
     const PlatformConfig sky = skylakeConfig();
     const PlatformConfig has = haswellUltConfig();
@@ -71,8 +66,8 @@ main()
     std::cout << "\nResulting DRIPS platform power: Haswell-ULT "
               << stats::fmtPower(has_p.idlePower) << "  ->  Skylake "
               << stats::fmtPower(sky_p.idlePower) << '\n';
-    // Cache/store/sweep counters go to stderr so the tables above
-    // stay byte-identical for any --jobs value or attached store.
+    // Cache/sweep counters go to stderr so the tables above
+    // stay byte-identical for any --jobs value.
     stats::printRunTelemetry(std::cerr);
     return 0;
 }

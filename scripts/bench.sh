@@ -1,9 +1,8 @@
 #!/usr/bin/env bash
 # Tracked perf harness: builds Release, runs bench/microbench plus
 # end-to-end wall-clock timings (fig6a_techniques, longtrace
-# throughput, the query_engine batch, and fleet_campaign device-days/s
-# in cold / warm / store-hot regimes), and emits the BENCH_kernel.json
-# trajectory file.
+# throughput, and fleet_campaign device-days/s in cold / warm
+# regimes), and emits the BENCH_kernel.json trajectory file.
 #
 # Schema (odrips-bench-v1): {"benchmarks": {<name>: {"ns_per_op": N,
 # "bytes_per_second": N} | {"wall_clock_s": N}}}. scripts/check.sh
@@ -40,9 +39,8 @@ generator=()
 echo "== bench.sh: Release build in $build_dir =="
 build_log="$(mktemp)"
 micro_json="$(mktemp)"
-query_dir=""
 fleet_dir=""
-trap 'rm -f "$build_log" "$micro_json"; [ -n "$query_dir" ] && rm -rf "$query_dir"; [ -n "$fleet_dir" ] && rm -rf "$fleet_dir"' EXIT
+trap 'rm -f "$build_log" "$micro_json"; [ -n "$fleet_dir" ] && rm -rf "$fleet_dir"' EXIT
 
 # Ninja reports compile errors on stdout, so a bare >/dev/null would
 # swallow them; keep the build log and replay its tail on failure.
@@ -51,7 +49,7 @@ cmake -B "$build_dir" "${generator[@]}" -DCMAKE_BUILD_TYPE=Release \
     || { tail -40 "$build_log" >&2; fail "cmake configure failed"; }
 cmake --build "$build_dir" -j "$jobs" \
     --target microbench fig6a_techniques longtrace_throughput \
-    query_engine fleet_campaign arch_info \
+    fleet_campaign arch_info \
     > "$build_log" 2>&1 \
     || { tail -40 "$build_log" >&2; fail "Release build failed"; }
 
@@ -91,42 +89,13 @@ for _ in 1 2 3; do
     fi
 done
 
-# Batched what-if queries against a persistent result store: the same
-# 1000-query batch (90% repeat keys) simulated cold into a fresh store,
-# then re-answered hot from it. Both phases report their own timings on
-# stderr (query-engine-telemetry); the two stdouts must be
-# bit-identical or the store is serving wrong answers.
-query_batch=1000
-echo "== bench.sh: query_engine $query_batch-query batch (cold, then hot) =="
-query_dir="$(mktemp -d)"
-"$build_dir/bench/query_engine" --gen="$query_batch" --gen-repeat=0.9 \
-    --emit-queries > "$query_dir/batch.jsonl" \
-    || fail "query_engine --emit-queries exited non-zero"
-"$build_dir/bench/query_engine" --store="$query_dir/store" \
-    --jobs="$jobs" < "$query_dir/batch.jsonl" \
-    > "$query_dir/cold.jsonl" 2> "$query_dir/cold.err" \
-    || fail "query_engine cold batch exited non-zero"
-"$build_dir/bench/query_engine" --store="$query_dir/store" \
-    --jobs="$jobs" < "$query_dir/batch.jsonl" \
-    > "$query_dir/hot.jsonl" 2> "$query_dir/hot.err" \
-    || fail "query_engine hot batch exited non-zero"
-cmp -s "$query_dir/cold.jsonl" "$query_dir/hot.jsonl" \
-    || fail "query_engine cold/hot stdout diverged"
-cold_telemetry="$(grep -o 'query-engine-telemetry: .*' "$query_dir/cold.err" | tail -1 | cut -d' ' -f2-)"
-hot_telemetry="$(grep -o 'query-engine-telemetry: .*' "$query_dir/hot.err" | tail -1 | cut -d' ' -f2-)"
-[ -n "$cold_telemetry" ] && [ -n "$hot_telemetry" ] \
-    || fail "query_engine emitted no telemetry line"
-
-# Fleet campaign throughput in device-days per host second, three
-# regimes: the naive cold loop (fresh platform per device), the warm
-# engine (phase-matched checkpoint forks + in-process profile cache),
-# and the warm engine backed by a pre-populated persistent profile
-# store (second run against the same ODRIPS_STORE directory). The warm
-# and store-hot stdouts must be bit-identical — the store is an
-# accelerator, not a physics input.
+# Fleet campaign throughput in device-days per host second, two
+# regimes: the naive cold loop (fresh platform per device) and the
+# warm engine (phase-matched checkpoint forks + in-process profile
+# cache).
 fleet_cold_devices=200
 fleet_warm_devices=10000
-echo "== bench.sh: fleet_campaign device-days/s (cold $fleet_cold_devices, warm $fleet_warm_devices, store-hot $fleet_warm_devices) =="
+echo "== bench.sh: fleet_campaign device-days/s (cold $fleet_cold_devices, warm $fleet_warm_devices) =="
 fleet_dir="$(mktemp -d)"
 t0=$(date +%s%N)
 "$build_dir/bench/fleet_campaign" --devices="$fleet_cold_devices" \
@@ -136,30 +105,17 @@ t1=$(date +%s%N)
 fleet_cold_ns=$((t1 - t0))
 t0=$(date +%s%N)
 "$build_dir/bench/fleet_campaign" --devices="$fleet_warm_devices" \
-    --jobs="$jobs" > "$fleet_dir/warm.txt" 2>/dev/null \
+    --jobs="$jobs" >/dev/null 2> "$fleet_dir/warm.err" \
     || fail "fleet_campaign warm exited non-zero"
 t1=$(date +%s%N)
 fleet_warm_ns=$((t1 - t0))
-ODRIPS_STORE="$fleet_dir/store" \
-    "$build_dir/bench/fleet_campaign" --devices="$fleet_warm_devices" \
-    --jobs="$jobs" >/dev/null 2>/dev/null \
-    || fail "fleet_campaign store-fill exited non-zero"
-t0=$(date +%s%N)
-ODRIPS_STORE="$fleet_dir/store" \
-    "$build_dir/bench/fleet_campaign" --devices="$fleet_warm_devices" \
-    --jobs="$jobs" > "$fleet_dir/hot.txt" 2> "$fleet_dir/hot.err" \
-    || fail "fleet_campaign store-hot exited non-zero"
-t1=$(date +%s%N)
-fleet_hot_ns=$((t1 - t0))
-cmp -s "$fleet_dir/warm.txt" "$fleet_dir/hot.txt" \
-    || fail "fleet_campaign store-hot stdout diverged from warm run"
-fleet_telemetry="$(grep -o 'fleet-campaign-telemetry: .*' "$fleet_dir/hot.err" | tail -1 | cut -d' ' -f2-)"
+fleet_telemetry="$(grep -o 'fleet-campaign-telemetry: .*' "$fleet_dir/warm.err" | tail -1 | cut -d' ' -f2-)"
 [ -n "$fleet_telemetry" ] \
     || fail "fleet_campaign emitted no telemetry line"
 
 python3 - "$micro_json" "$best_ns" "$out" "$arch_json" "$git_sha" \
-    "$long_best_ns" "$long_cycles" "$cold_telemetry" "$hot_telemetry" \
-    "$fleet_cold_ns" "$fleet_warm_ns" "$fleet_hot_ns" \
+    "$long_best_ns" "$long_cycles" \
+    "$fleet_cold_ns" "$fleet_warm_ns" \
     "$fleet_cold_devices" "$fleet_warm_devices" "$fleet_telemetry" \
     <<'PY'
 import json
@@ -170,11 +126,9 @@ micro_path, fig_ns, out_path = sys.argv[1], int(sys.argv[2]), sys.argv[3]
 environment = json.loads(sys.argv[4])
 environment["git_sha"] = sys.argv[5]
 long_ns, long_cycles = int(sys.argv[6]), int(sys.argv[7])
-cold_tel, hot_tel = json.loads(sys.argv[8]), json.loads(sys.argv[9])
-fleet_cold_ns, fleet_warm_ns, fleet_hot_ns = (
-    int(sys.argv[10]), int(sys.argv[11]), int(sys.argv[12]))
-fleet_cold_n, fleet_warm_n = int(sys.argv[13]), int(sys.argv[14])
-fleet_tel = json.loads(sys.argv[15])
+fleet_cold_ns, fleet_warm_ns = int(sys.argv[8]), int(sys.argv[9])
+fleet_cold_n, fleet_warm_n = int(sys.argv[10]), int(sys.argv[11])
+fleet_tel = json.loads(sys.argv[12])
 with open(micro_path) as f:
     micro = json.load(f)
 
@@ -194,19 +148,9 @@ benches["longtrace_throughput"] = {
     "wall_clock_s": round(long_ns / 1e9, 3),
     "cycles_per_second": round(long_cycles / (long_ns / 1e9), 1),
 }
-# Batched what-if queries: cold fills a fresh store, hot re-answers the
-# identical batch from it. The store's served fraction on the hot pass
-# goes into the environment block (it attributes the hot number).
-benches["query_engine_batch_cold"] = {
-    "wall_clock_s": round(cold_tel["total_s"], 4),
-}
-benches["query_engine_batch_hot"] = {
-    "wall_clock_s": round(hot_tel["total_s"], 4),
-}
 # Fleet campaign throughput: device-days of connected standby
 # evaluated per host second, per regime. The headline number is
-# fleet_campaign_warm; cold is the naive foil, store_hot adds a
-# pre-populated persistent profile store.
+# fleet_campaign_warm; cold is the naive foil.
 benches["fleet_campaign_cold"] = {
     "wall_clock_s": round(fleet_cold_ns / 1e9, 3),
     "device_days_per_second":
@@ -217,11 +161,6 @@ benches["fleet_campaign_warm"] = {
     "device_days_per_second":
         round(fleet_warm_n / (fleet_warm_ns / 1e9), 1),
 }
-benches["fleet_campaign_store_hot"] = {
-    "wall_clock_s": round(fleet_hot_ns / 1e9, 3),
-    "device_days_per_second":
-        round(fleet_warm_n / (fleet_hot_ns / 1e9), 1),
-}
 # O(stats) proof + accelerator attribution for the fleet numbers.
 environment["fleet_campaign"] = {
     "devices": fleet_tel["devices"],
@@ -229,14 +168,6 @@ environment["fleet_campaign"] = {
     "aggregation_bytes": fleet_tel["aggregation_bytes"],
     "pool_restores": fleet_tel["pool_restores"],
     "profile_cache_hits": fleet_tel["profile_cache_hits"],
-    "profile_store_hits": fleet_tel["profile_store_hits"],
-}
-environment["store_hit_rate"] = round(hot_tel["store_hit_rate"], 4)
-environment["store_batch"] = {
-    "queries": cold_tel["batch"],
-    "unique_keys": cold_tel["unique_keys"],
-    "cold_sim_s": round(cold_tel["cold_sim_s"], 4),
-    "hot_serve_s": round(hot_tel["hot_serve_s"], 6),
 }
 
 # Preserve any history block the committed trajectory carries.

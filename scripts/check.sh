@@ -33,16 +33,10 @@
 #              odrips_ckpt`) three ways — native, ODRIPS_DISPATCH=scalar
 #              and ODRIPS_CHECKPOINT=0 (the cold sweep path) — plus two
 #              end-to-end bit-equality cross-checks: fig6a stdout with
-#              checkpointing on/off for jobs {1,2,8}, and the longtrace
-#              summary with and without periodic checkpoint/resume.
-#  store       the persistent result-store suites (`ctest -L
-#              odrips_store`: schema round-trips, torture negatives,
-#              multi-process locking) plus two end-to-end checks on a
-#              generated 1000-query batch: query_engine stdout is
-#              bit-identical whether answers are simulated cold or
-#              served from the store, across ODRIPS_PROFILE_CACHE
-#              {1,0} x jobs {1,8}; and the engine-reported hot serve
-#              time beats the cold simulate time by >=100x.
+#              checkpointing on/off for jobs {1,2,8} against the
+#              committed tests/golden/fig6a_techniques.stdout, and the
+#              longtrace summary with and without periodic
+#              checkpoint/resume.
 #  fleet       the fleet campaign suites (`ctest -L odrips_fleet`:
 #              .odwl torture negatives, campaign determinism, quantile
 #              sketches, jobs-sweep stability) plus end-to-end checks
@@ -53,10 +47,10 @@
 #              naive cold loop agrees with the warm engine exactly,
 #              and the warm engine's device-days/s rate beats the cold
 #              loop by >=50x.
-#  all         lint, then simd, then ckpt, then store, then fleet,
-#              then tsan, then asan (default).
+#  all         lint, then simd, then ckpt, then fleet, then tsan,
+#              then asan (default).
 #
-# Usage: scripts/check.sh [lint|simd|ckpt|store|fleet|tsan|asan|bench]   (default: all)
+# Usage: scripts/check.sh [lint|simd|ckpt|fleet|tsan|asan|bench]   (default: all)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -143,21 +137,22 @@ run_ckpt() {
         -j "$jobs"
 
     # Warm-forked sweeps must not change a single figure: fig6a stdout
-    # (the host-timed telemetry table goes to stderr) is bit-identical
-    # with checkpointing on and off, for every worker count.
-    echo "-- fig6a bit-equality: ODRIPS_CHECKPOINT {1,0} x jobs {1,2,8} --"
+    # (the host-timed telemetry table goes to stderr) matches the
+    # committed golden with checkpointing on and off, for every worker
+    # count.
+    echo "-- fig6a vs golden: ODRIPS_CHECKPOINT {1,0} x jobs {1,2,8} --"
     local ref scratch
     ref="$(mktemp)"
     scratch="$(mktemp)"
-    ./build/bench/fig6a_techniques 2>/dev/null >"$ref"
     local j c
     for j in 1 2 8; do
         for c in 1 0; do
             ODRIPS_JOBS=$j ODRIPS_CHECKPOINT=$c \
                 ./build/bench/fig6a_techniques 2>/dev/null >"$scratch"
-            if ! cmp -s "$ref" "$scratch"; then
-                echo "ckpt: fig6a output diverged (jobs=$j," \
-                     "checkpoint=$c)" >&2
+            if ! cmp -s tests/golden/fig6a_techniques.stdout \
+                    "$scratch"; then
+                echo "ckpt: fig6a output diverged from its golden" \
+                     "(jobs=$j, checkpoint=$c)" >&2
                 rm -f "$ref" "$scratch"
                 exit 1
             fi
@@ -179,81 +174,6 @@ run_ckpt() {
     echo "checkpoint gate passed"
 }
 
-run_store() {
-    echo "== Store gate (ctest -L odrips_store + cold/hot bit-equality) =="
-    local gen=()
-    [ -d build ] || gen=("${generator[@]}")
-    cmake -B build "${gen[@]}" >/dev/null
-    cmake --build build -j "$jobs" \
-        --target store_test store_parallel_test query_engine
-
-    echo "-- ctest -L odrips_store --"
-    ctest --test-dir build -L odrips_store --output-on-failure -j "$jobs"
-
-    # A what-if batch must produce bit-identical stdout whether the
-    # answers are simulated cold or served from the store, with the
-    # in-memory memo on or off, at any worker count. The reference is
-    # the cold pass that fills the store; every later pass serves hot.
-    echo "-- query_engine bit-equality: cold vs hot x ODRIPS_PROFILE_CACHE {1,0} x jobs {1,8} --"
-    local dir
-    dir="$(mktemp -d)"
-    ./build/bench/query_engine --gen=1000 --gen-repeat=0.9 \
-        --emit-queries > "$dir/batch.jsonl"
-    ./build/bench/query_engine --store="$dir/store" --jobs=8 \
-        < "$dir/batch.jsonl" > "$dir/ref.jsonl" 2> "$dir/cold.err"
-    local j c
-    for c in 1 0; do
-        for j in 1 8; do
-            ODRIPS_PROFILE_CACHE=$c \
-                ./build/bench/query_engine --store="$dir/store" \
-                --jobs="$j" < "$dir/batch.jsonl" \
-                > "$dir/scratch.jsonl" 2> "$dir/hot.err"
-            if ! cmp -s "$dir/ref.jsonl" "$dir/scratch.jsonl"; then
-                echo "store: query_engine output diverged" \
-                     "(cache=$c, jobs=$j)" >&2
-                rm -rf "$dir"
-                exit 1
-            fi
-        done
-    done
-
-    # The memoized store must be worth keeping: the engine's own
-    # telemetry says how long the batch's unique keys took to simulate
-    # cold and how long the full batch took to serve hot.
-    echo "-- store speedup: hot serve vs cold simulate (>=100x) --"
-    if ! python3 - "$dir/cold.err" "$dir/hot.err" <<'PY'
-import json
-import sys
-
-def telemetry(path):
-    tail = None
-    with open(path) as f:
-        for line in f:
-            if line.startswith("query-engine-telemetry: "):
-                tail = line.split(": ", 1)[1]
-    if tail is None:
-        sys.exit(f"store: no query-engine-telemetry line in {path}")
-    return json.loads(tail)
-
-cold = telemetry(sys.argv[1])
-hot = telemetry(sys.argv[2])
-cold_s, hot_s = cold["cold_sim_s"], hot["hot_serve_s"]
-speedup = cold_s / hot_s if hot_s > 0 else float("inf")
-print(f"store: cold simulate {cold_s:.4f}s for "
-      f"{cold['cold_keys']} keys, hot serve {hot_s * 1e6:.1f}us for "
-      f"{hot['batch']} queries ({speedup:.0f}x)")
-if speedup < 100:
-    sys.exit("store: hot path is <100x faster than cold; the store "
-             "is not earning its keep")
-PY
-    then
-        rm -rf "$dir"
-        exit 1
-    fi
-    rm -rf "$dir"
-    echo "store gate passed"
-}
-
 run_fleet() {
     echo "== Fleet gate (ctest -L odrips_fleet + campaign bit-equality) =="
     local gen=()
@@ -267,7 +187,7 @@ run_fleet() {
 
     # The percentile report depends only on the campaign
     # configuration: the worker count, the warm checkpoint pool and
-    # the profile cache/store are pure accelerators. Any divergence
+    # the profile cache are pure accelerators. Any divergence
     # here means an accelerator changed the physics.
     echo "-- fleet_campaign bit-equality: jobs {1,2,8} x ODRIPS_CHECKPOINT {1,0} x ODRIPS_PROFILE_CACHE {1,0} --"
     local dir
@@ -427,7 +347,6 @@ case "$mode" in
 lint) run_lint ;;
 simd) run_simd ;;
 ckpt) run_ckpt ;;
-store) run_store ;;
 fleet) run_fleet ;;
 tsan) run_tsan ;;
 asan) run_asan ;;
@@ -436,13 +355,12 @@ all)
     run_lint
     run_simd
     run_ckpt
-    run_store
     run_fleet
     run_tsan
     run_asan
     ;;
 *)
-    echo "usage: $0 [lint|simd|ckpt|store|fleet|tsan|asan|bench]" >&2
+    echo "usage: $0 [lint|simd|ckpt|fleet|tsan|asan|bench]" >&2
     exit 2
     ;;
 esac

@@ -241,7 +241,6 @@ CycleProfileCache::getOrMeasure(const PlatformConfig &cfg,
                                 const TechniqueSet &techniques)
 {
     const ProfileKey key = profileKey(cfg, techniques);
-    ProfileStoreBackend *persistent = nullptr;
     {
         std::lock_guard<std::mutex> guard(mtx);
         const auto it = entries.find(key);
@@ -249,50 +248,16 @@ CycleProfileCache::getOrMeasure(const PlatformConfig &cfg,
             ++stats.hits;
             return it->second;
         }
-        persistent = store;
-    }
-
-    // Memory miss: try the persistent backend before paying for a
-    // simulation. Both the fetch and the measurement run outside the
-    // lock so parallel sweep workers don't serialise on each other.
-    if (persistent != nullptr) {
-        CyclePowerProfile fetched;
-        if (persistent->fetch(key, fetched)) {
-            std::lock_guard<std::mutex> guard(mtx);
-            ++stats.storeHits;
-            insertLocked(key, fetched);
-            return fetched;
-        }
     }
 
     const CyclePowerProfile profile =
         measureCycleProfileUncached(cfg, techniques);
 
-    {
-        std::lock_guard<std::mutex> guard(mtx);
-        ++stats.misses;
-        insertLocked(key, profile);
-    }
-    if (persistent != nullptr)
-        persistent->persist(key, cfg, techniques, profile);
+    std::lock_guard<std::mutex> guard(mtx);
+    ++stats.misses;
+    if (entries.insert_or_assign(key, profile).second)
+        ++stats.inserts;
     return profile;
-}
-
-void
-CycleProfileCache::insertLocked(const ProfileKey &key,
-                                const CyclePowerProfile &profile)
-{
-    const auto [it, fresh] = entries.insert_or_assign(key, profile);
-    (void)it;
-    if (!fresh)
-        return;
-    ++stats.inserts;
-    insertionOrder.push_back(key);
-    while (capacity != 0 && entries.size() > capacity) {
-        entries.erase(insertionOrder.front());
-        insertionOrder.pop_front();
-        ++stats.evictions;
-    }
 }
 
 CycleProfileCacheStats
@@ -314,34 +279,7 @@ CycleProfileCache::clear()
 {
     std::lock_guard<std::mutex> guard(mtx);
     entries.clear();
-    insertionOrder.clear();
     stats = CycleProfileCacheStats{};
-}
-
-void
-CycleProfileCache::setCapacity(std::size_t cap)
-{
-    std::lock_guard<std::mutex> guard(mtx);
-    capacity = cap;
-    while (capacity != 0 && entries.size() > capacity) {
-        entries.erase(insertionOrder.front());
-        insertionOrder.pop_front();
-        ++stats.evictions;
-    }
-}
-
-void
-CycleProfileCache::setBackend(ProfileStoreBackend *backend)
-{
-    std::lock_guard<std::mutex> guard(mtx);
-    store = backend;
-}
-
-ProfileStoreBackend *
-CycleProfileCache::backend() const
-{
-    std::lock_guard<std::mutex> guard(mtx);
-    return store;
 }
 
 CycleProfileCache &
@@ -349,30 +287,18 @@ CycleProfileCache::global()
 {
     static CycleProfileCache cache;
     static const bool configured = [] {
-        // ODRIPS_PROFILE_CACHE_CAP bounds the global memo (entries);
-        // unset or unparsable means unlimited, matching history.
-        if (const char *env = std::getenv("ODRIPS_PROFILE_CACHE_CAP")) {
-            char *end = nullptr;
-            const unsigned long long cap = std::strtoull(env, &end, 10);
-            if (end != nullptr && *end == '\0' && end != env)
-                cache.setCapacity(static_cast<std::size_t>(cap));
-        }
         // Cache counters appear in every bench's stderr telemetry
         // epilogue (stats::printRunTelemetry).
         stats::addReportSection([](std::ostream &os) {
             const CycleProfileCacheStats s = cache.statistics();
             if (s.calls() == 0)
                 return;
-            const double rate =
-                static_cast<double>(s.hits + s.storeHits) /
-                static_cast<double>(s.calls());
+            const double rate = static_cast<double>(s.hits) /
+                                static_cast<double>(s.calls());
             os << "profile cache: " << s.hits << " hits, " << s.misses
-               << " misses, " << s.storeHits << " store hits, "
-               << s.inserts << " inserts, " << s.evictions
-               << " evictions (" << cache.entryCount() << " entries, "
+               << " misses, " << s.inserts << " inserts ("
+               << cache.entryCount() << " entries, "
                << stats::fmtPercent(rate) << " served from cache)\n";
-            if (ProfileStoreBackend *backend = cache.backend())
-                backend->reportTo(os);
         });
         return true;
     }();
@@ -388,34 +314,6 @@ CycleProfileCache::enabled()
         return env == nullptr || std::strcmp(env, "0") != 0;
     }();
     return on;
-}
-
-ProfileCacheStatGroup::ProfileCacheStatGroup(
-        const CycleProfileCache &observed, stats::StatGroup *owner)
-    : stats::StatGroup("profileCache", owner),
-      cache(observed),
-      hits(*this, "hits", "calls served from the in-memory memo"),
-      misses(*this, "misses", "calls that re-measured the profile"),
-      storeHits(*this, "storeHits",
-                "calls served from the persistent result store"),
-      inserts(*this, "inserts", "entries added to the memo"),
-      evictions(*this, "evictions",
-                "entries dropped by the capacity cap"),
-      entries(*this, "entries", "distinct profiles currently cached")
-{
-    update();
-}
-
-void
-ProfileCacheStatGroup::update()
-{
-    const CycleProfileCacheStats s = cache.statistics();
-    hits.set(static_cast<double>(s.hits));
-    misses.set(static_cast<double>(s.misses));
-    storeHits.set(static_cast<double>(s.storeHits));
-    inserts.set(static_cast<double>(s.inserts));
-    evictions.set(static_cast<double>(s.evictions));
-    entries.set(static_cast<double>(cache.entryCount()));
 }
 
 } // namespace odrips

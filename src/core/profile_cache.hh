@@ -13,28 +13,16 @@
  * The cache is process-global and thread-safe; parallel sweeps hit it
  * from worker threads. Set ODRIPS_PROFILE_CACHE=0 to bypass it (every
  * call then re-measures, the historical behaviour).
- *
- * Two extensions make the memo servable beyond one process:
- *  - a ProfileStoreBackend (implemented by store::ResultStore, see
- *    src/store/) is consulted between the in-memory memo and a fresh
- *    measurement, so results persist and are shared across processes;
- *  - an optional entry cap (ODRIPS_PROFILE_CACHE_CAP / setCapacity)
- *    bounds the in-memory footprint with FIFO eviction — evicted keys
- *    fall back to the backend, then to re-measurement.
  */
 
 #ifndef ODRIPS_CORE_PROFILE_CACHE_HH
 #define ODRIPS_CORE_PROFILE_CACHE_HH
 
 #include <cstdint>
-#include <deque>
-#include <iosfwd>
 #include <map>
 #include <mutex>
 
 #include "core/profile.hh"
-#include "stats/group.hh"
-#include "stats/stat.hh"
 
 namespace odrips
 {
@@ -67,55 +55,20 @@ struct ProfileKey
 ProfileKey profileKey(const PlatformConfig &cfg,
                       const TechniqueSet &techniques);
 
-/**
- * A persistence layer behind the in-memory memo. Implementations must
- * be thread-safe: the cache calls them outside its own lock so a slow
- * disk never serialises parallel sweeps.
- *
- * Declared here (not in src/store/) so the core layer stays below the
- * store layer in the include DAG: core owns the seam, src/store/ plugs
- * the persistent ResultStore into it.
- */
-class ProfileStoreBackend
-{
-  public:
-    virtual ~ProfileStoreBackend() = default;
-
-    /** Fetch @p key into @p out; false on a miss. */
-    virtual bool fetch(const ProfileKey &key, CyclePowerProfile &out) = 0;
-
-    /** Persist a freshly measured result (best effort). */
-    virtual void persist(const ProfileKey &key, const PlatformConfig &cfg,
-                         const TechniqueSet &techniques,
-                         const CyclePowerProfile &profile) = 0;
-
-    /** Append backend telemetry to a run report (default: nothing). */
-    virtual void
-    reportTo(std::ostream &os)
-    {
-        (void)os;
-    }
-};
-
 /** Cache counters (monotonic; misses count actual re-measurements). */
 struct CycleProfileCacheStats
 {
     /** Served from the in-memory memo. */
     std::uint64_t hits = 0;
-    /** Actually re-measured (memo and backend both missed). */
+    /** Actually re-measured (the memo missed). */
     std::uint64_t misses = 0;
-    /** Served from the persistent backend (a memory miss that did not
-     * have to re-measure). */
-    std::uint64_t storeHits = 0;
     /** Entries added to the in-memory memo. */
     std::uint64_t inserts = 0;
-    /** Entries dropped by the capacity cap (FIFO order). */
-    std::uint64_t evictions = 0;
 
     std::uint64_t
     calls() const
     {
-        return hits + storeHits + misses;
+        return hits + misses;
     }
 };
 
@@ -127,8 +80,7 @@ class CycleProfileCache
      * Return the cached profile for (@p cfg, @p techniques), measuring
      * it on a miss. Concurrent misses on the same key may both measure
      * (the results are identical; last insert wins) — the lock is not
-     * held across the measurement (or the backend I/O) so parallel
-     * sweeps don't serialise.
+     * held across the measurement so parallel sweeps don't serialise.
      */
     CyclePowerProfile getOrMeasure(const PlatformConfig &cfg,
                                    const TechniqueSet &techniques);
@@ -141,20 +93,6 @@ class CycleProfileCache
     /** Drop all entries and reset the counters. */
     void clear();
 
-    /**
-     * Bound the in-memory memo to @p entries (0 = unlimited, the
-     * default). When full, the oldest-inserted entry is evicted.
-     */
-    void setCapacity(std::size_t entries);
-
-    /**
-     * Attach (or with nullptr detach) the persistence layer. Not
-     * owned; the backend must outlive its attachment.
-     */
-    void setBackend(ProfileStoreBackend *backend);
-
-    ProfileStoreBackend *backend() const;
-
     /** The process-global instance used by measureCycleProfile(). */
     static CycleProfileCache &global();
 
@@ -165,39 +103,9 @@ class CycleProfileCache
     static bool enabled();
 
   private:
-    void insertLocked(const ProfileKey &key,
-                      const CyclePowerProfile &profile);
-
     mutable std::mutex mtx;
     std::map<ProfileKey, CyclePowerProfile> entries;
-    std::deque<ProfileKey> insertionOrder;
-    std::size_t capacity = 0;
-    ProfileStoreBackend *store = nullptr;
     CycleProfileCacheStats stats;
-};
-
-/**
- * stats::StatGroup view of a cache's counters, for reports that dump
- * stat hierarchies. update() refreshes the scalars from the cache;
- * call it right before dumping.
- */
-class ProfileCacheStatGroup : public stats::StatGroup
-{
-  public:
-    explicit ProfileCacheStatGroup(const CycleProfileCache &observed,
-                                   stats::StatGroup *owner = nullptr);
-
-    /** Copy the cache's current counters into the scalars. */
-    void update();
-
-  private:
-    const CycleProfileCache &cache; // ckpt: skip(report-only view)
-    stats::Scalar hits;
-    stats::Scalar misses;
-    stats::Scalar storeHits;
-    stats::Scalar inserts;
-    stats::Scalar evictions;
-    stats::Scalar entries;
 };
 
 } // namespace odrips

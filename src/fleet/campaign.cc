@@ -225,7 +225,7 @@ runCampaign(const CampaignConfig &cfg, const exec::ExecPolicy &policy)
     const std::size_t slots = slotCount(policy);
 
     // Fixed cost 1: one profile per distinct TechniqueSet, through the
-    // cache (and the persistent store when attached).
+    // cache.
     std::vector<CyclePowerProfile> profiles;
     profiles.reserve(numClasses);
     for (const DeviceClass &dc : cfg.population.classes)
@@ -343,7 +343,6 @@ runCampaign(const CampaignConfig &cfg, const exec::ExecPolicy &policy)
     const CycleProfileCacheStats cacheStats =
         CycleProfileCache::global().statistics();
     tel.cacheHits = cacheStats.hits;
-    tel.cacheStoreHits = cacheStats.storeHits;
     tel.devicesPerWorker = perWorkerDevices;
     tel.aggregationBytes =
         static_cast<std::uint64_t>(slots) *
@@ -408,7 +407,6 @@ printCampaignTelemetry(std::ostream &os, const CampaignResult &result)
        << ", \"pool_cold_builds\": " << tel.pool.coldBuilds
        << ", \"pool_arena_builds\": " << tel.pool.arenaBuilds
        << ", \"profile_cache_hits\": " << tel.cacheHits
-       << ", \"profile_store_hits\": " << tel.cacheStoreHits
        << ", \"aggregation_bytes\": " << tel.aggregationBytes
        << ", \"devices_per_worker\": [";
     for (std::size_t i = 0; i < tel.devicesPerWorker.size(); ++i)

@@ -9,8 +9,8 @@
  * cost once instead of per device:
  *
  *  - cycle power profiles are measured once per distinct TechniqueSet
- *    through the CycleProfileCache (and the persistent store when
- *    attached), so repeat-profile devices are cache hits;
+ *    through the CycleProfileCache, so repeat-profile devices are
+ *    cache hits;
  *  - per-(class, phase) sim-vs-analytic calibration factors are
  *    computed once, on simulators served by the warm CheckpointPool;
  *  - the per-device hot loop is purely analytic: stream the day's
@@ -101,8 +101,7 @@ struct CampaignTelemetry
     std::uint64_t batches = 0;
     std::uint64_t profileMeasurements = 0; ///< uncached measurements paid
     CheckpointPoolStats pool;
-    std::uint64_t cacheHits = 0;     ///< CycleProfileCache memo hits
-    std::uint64_t cacheStoreHits = 0; ///< served by the persistent store
+    std::uint64_t cacheHits = 0; ///< CycleProfileCache memo hits
     /** Devices handled per worker slot (slot 0 = non-worker caller). */
     std::vector<std::uint64_t> devicesPerWorker;
     /** Resident bytes of ALL aggregation state (sketches + partials):

@@ -92,7 +92,7 @@ void addReportSection(std::function<void(std::ostream &)> section);
 /**
  * The standard end-of-run telemetry epilogue every bench prints to
  * stderr: the sweep-throughput report plus every registered section
- * (profile-cache counters, persistent-store counters, ...).
+ * (profile-cache counters, ...).
  */
 void printRunTelemetry(std::ostream &os);
 

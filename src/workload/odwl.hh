@@ -5,7 +5,7 @@
  * An ODWL file carries a fleet population (the weighted profile x
  * technique classes plus the population seed) and, optionally,
  * pre-expanded device-day cycle traces. The encoding follows the same
- * discipline as the result store and simulator snapshots: ckpt::Writer
+ * discipline as simulator snapshots: ckpt::Writer
  * / ckpt::Reader little-endian primitives, named sections, and a
  * CRC-32 per section payload, so a truncated or bit-flipped file is
  * rejected as a unit — validation (magic, version, CRCs, expectEnd,

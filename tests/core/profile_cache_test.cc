@@ -115,161 +115,19 @@ TEST(CycleProfileCacheTest, ClearDropsEntriesAndCounters)
     const TechniqueSet techniques = TechniqueSet::baseline();
 
     cache.getOrMeasure(cfg, techniques);
+    cache.getOrMeasure(cfg, techniques);
+    EXPECT_EQ(cache.statistics().inserts, 1u);
     cache.clear();
     EXPECT_EQ(cache.entryCount(), 0u);
     EXPECT_EQ(cache.statistics().hits, 0u);
     EXPECT_EQ(cache.statistics().misses, 0u);
+    EXPECT_EQ(cache.statistics().inserts, 0u);
 
+    // A cleared cache misses again: every call after clear() is cold.
     cache.getOrMeasure(cfg, techniques);
     EXPECT_EQ(cache.statistics().misses, 1u);
-}
-
-TEST(CycleProfileCacheTest, CapacityEvictsOldestInsertedFirst)
-{
-    CycleProfileCache cache;
-    cache.setCapacity(2);
-    PlatformConfig cfg = skylakeConfig();
-    const TechniqueSet techniques = TechniqueSet::baseline();
-
-    cfg.coreFrequencyHz = 0.4e9;
-    cache.getOrMeasure(cfg, techniques); // A (oldest)
-    cfg.coreFrequencyHz = 0.6e9;
-    cache.getOrMeasure(cfg, techniques); // B
-    cfg.coreFrequencyHz = 0.8e9;
-    cache.getOrMeasure(cfg, techniques); // C evicts A
-
-    EXPECT_EQ(cache.entryCount(), 2u);
-    EXPECT_EQ(cache.statistics().evictions, 1u);
-    EXPECT_EQ(cache.statistics().inserts, 3u);
-
-    // B and C are still hits; A was evicted and re-measures.
-    cfg.coreFrequencyHz = 0.6e9;
-    cache.getOrMeasure(cfg, techniques);
-    cfg.coreFrequencyHz = 0.8e9;
-    cache.getOrMeasure(cfg, techniques);
-    EXPECT_EQ(cache.statistics().hits, 2u);
-    cfg.coreFrequencyHz = 0.4e9;
-    cache.getOrMeasure(cfg, techniques);
-    EXPECT_EQ(cache.statistics().misses, 4u);
-}
-
-TEST(CycleProfileCacheTest, ShrinkingCapacityEvictsImmediately)
-{
-    CycleProfileCache cache;
-    PlatformConfig cfg = skylakeConfig();
-    const TechniqueSet techniques = TechniqueSet::baseline();
-    for (const double ghz : {0.4, 0.6, 0.8, 1.0}) {
-        cfg.coreFrequencyHz = ghz * 1e9;
-        cache.getOrMeasure(cfg, techniques);
-    }
-    EXPECT_EQ(cache.entryCount(), 4u);
-    cache.setCapacity(1);
+    EXPECT_EQ(cache.statistics().hits, 0u);
     EXPECT_EQ(cache.entryCount(), 1u);
-    EXPECT_EQ(cache.statistics().evictions, 3u);
-
-    // The survivor is the newest insert.
-    cfg.coreFrequencyHz = 1.0e9;
-    cache.getOrMeasure(cfg, techniques);
-    EXPECT_EQ(cache.statistics().hits, 1u);
-}
-
-/** In-memory fake backend: a map plus call counters (no store layer —
- * core tests exercise the seam, src/store/ tests the real backend). */
-class FakeBackend : public ProfileStoreBackend
-{
-  public:
-    bool
-    fetch(const ProfileKey &key, CyclePowerProfile &out) override
-    {
-        ++fetches;
-        const auto it = entries.find(key);
-        if (it == entries.end())
-            return false;
-        out = it->second;
-        return true;
-    }
-
-    void
-    persist(const ProfileKey &key, const PlatformConfig &,
-            const TechniqueSet &, const CyclePowerProfile &profile)
-        override
-    {
-        ++persists;
-        entries.emplace(key, profile);
-    }
-
-    std::map<ProfileKey, CyclePowerProfile> entries;
-    int fetches = 0;
-    int persists = 0;
-};
-
-TEST(CycleProfileCacheTest, BackendServesMissesAndReceivesResults)
-{
-    const PlatformConfig cfg = skylakeConfig();
-    const TechniqueSet techniques = TechniqueSet::odrips();
-
-    FakeBackend backend;
-    CycleProfileCache first;
-    first.setBackend(&backend);
-    EXPECT_EQ(first.backend(), &backend);
-
-    // Cold: memo miss -> backend miss -> measure -> persist.
-    const CyclePowerProfile measured =
-        first.getOrMeasure(cfg, techniques);
-    EXPECT_EQ(backend.fetches, 1);
-    EXPECT_EQ(backend.persists, 1);
-    EXPECT_EQ(first.statistics().misses, 1u);
-    EXPECT_EQ(first.statistics().storeHits, 0u);
-
-    // A fresh cache sharing the backend: memo miss -> backend hit, no
-    // re-measurement, bit-identical profile.
-    CycleProfileCache second;
-    second.setBackend(&backend);
-    const CyclePowerProfile served = second.getOrMeasure(cfg, techniques);
-    EXPECT_EQ(backend.fetches, 2);
-    EXPECT_EQ(backend.persists, 1); // nothing new measured
-    EXPECT_EQ(second.statistics().storeHits, 1u);
-    EXPECT_EQ(second.statistics().misses, 0u);
-    EXPECT_EQ(served.idlePower, measured.idlePower);
-    EXPECT_EQ(served.entryLatency, measured.entryLatency);
-
-    // The backend hit was promoted into the memo: next call is a pure
-    // hit with no backend traffic.
-    second.getOrMeasure(cfg, techniques);
-    EXPECT_EQ(backend.fetches, 2);
-    EXPECT_EQ(second.statistics().hits, 1u);
-
-    // Detach: the cache reverts to self-contained behaviour.
-    second.setBackend(nullptr);
-    EXPECT_EQ(second.backend(), nullptr);
-}
-
-TEST(ProfileCacheStatGroupTest, MirrorsCountersIntoScalars)
-{
-    CycleProfileCache cache;
-    ProfileCacheStatGroup group(cache);
-
-    const PlatformConfig cfg = skylakeConfig();
-    const TechniqueSet techniques = TechniqueSet::baseline();
-    cache.getOrMeasure(cfg, techniques);
-    cache.getOrMeasure(cfg, techniques);
-    group.update();
-
-    double hits = -1, misses = -1, inserts = -1, entries = -1;
-    for (const stats::Stat *stat : group.statistics()) {
-        if (stat->name() == "hits")
-            hits = stat->value();
-        else if (stat->name() == "misses")
-            misses = stat->value();
-        else if (stat->name() == "inserts")
-            inserts = stat->value();
-        else if (stat->name() == "entries")
-            entries = stat->value();
-    }
-    EXPECT_EQ(hits, 1.0);
-    EXPECT_EQ(misses, 1.0);
-    EXPECT_EQ(inserts, 1.0);
-    EXPECT_EQ(entries, 1.0);
 }
 
 TEST(CycleProfileCacheTest, GlobalEntryPointIsMemoised)

@@ -89,6 +89,15 @@ struct FlowCase
     TechniqueSet tech;
 };
 
+// Print a case by its name: gtest's default dumps the raw bytes, which
+// hold the address of `name` and so change from run to run under ASLR,
+// renaming the discovered ctest cases on every build.
+void
+PrintTo(const FlowCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
 class StandbyFlowTest : public ::testing::TestWithParam<FlowCase>
 {
   protected:

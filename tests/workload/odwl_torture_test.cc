@@ -1,11 +1,10 @@
 /**
  * @file
- * `.odwl` torture suite, mirroring the result-store torture tests: a
- * trace file damaged in ANY way — truncated at every byte boundary,
- * any single byte flipped, bad magic/version, semantic range
- * violations hidden behind a recomputed CRC — must be rejected as a
- * unit with a counted error. A corrupt workload is never partially
- * replayed.
+ * `.odwl` torture suite: a trace file damaged in ANY way — truncated
+ * at every byte boundary, any single byte flipped, bad magic/version,
+ * semantic range violations hidden behind a recomputed CRC — must be
+ * rejected as a unit with a counted error. A corrupt workload is never
+ * partially replayed.
  *
  * File layout under surgery (see workload/odwl.cc):
  *   header    = magic(4) version(4) sectionCount(4)        -> 12 bytes
@@ -14,19 +13,36 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
-#include "../store/store_test_util.hh"
 #include "sim/checkpoint/serializer.hh"
 #include "workload/odwl.hh"
 
 using namespace odrips;
-using odrips::test::TempDir;
 
 namespace
 {
+
+std::vector<std::uint8_t>
+readBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+}
+
+void
+writeBytes(const std::string &path, const std::vector<std::uint8_t> &bytes)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char *>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+}
 
 /** A two-section document: mixed population plus a short trace. */
 OdwlDocument
@@ -305,19 +321,23 @@ TEST(OdwlTortureTest, RejectionCounterCountsEveryFailure)
 
 TEST(OdwlTortureTest, FileRoundTripAndOnDiskCorruption)
 {
-    TempDir dir;
-    const std::string path = dir.file("fleet.odwl");
+    const std::string path = ::testing::TempDir() + "odwl_torture_fleet.odwl";
     writeOdwlFile(path, fixtureDocument());
 
     const OdwlDocument back = readOdwlFile(path);
     EXPECT_EQ(back.population.classes.size(),
               fixtureDocument().population.classes.size());
 
-    odrips::test::flipByteInFile(path, 30);
+    std::vector<std::uint8_t> bytes = readBytes(path);
+    ASSERT_GT(bytes.size(), 30u);
+    bytes[30] ^= 0xff;
+    writeBytes(path, bytes);
     EXPECT_THROW(readOdwlFile(path), OdwlError);
 
-    odrips::test::truncateFile(path, 17);
+    bytes.resize(17);
+    writeBytes(path, bytes);
     EXPECT_THROW(readOdwlFile(path), OdwlError);
+    std::remove(path.c_str());
 }
 
 TEST(OdwlTortureTest, MissingFileIsACountedRejection)

@@ -23,7 +23,7 @@ CXX_EXTENSIONS = (".cc", ".hh", ".cpp", ".hpp")
 
 ALL_RULES = {"wall-clock", "raw-rand", "unordered-iter", "raw-units",
              "tsan-label", "cmake-target", "simd-intrinsic",
-             "raw-thread", "state-memcpy", "store-io",
+             "raw-thread", "state-memcpy",
              "ckpt-coverage", "layering", "fleet-hotloop",
              "stale-allow"}
 
@@ -135,9 +135,6 @@ def run(root, scan_paths, active_rules):
     if rules.TOKEN_RULES & active_rules:
         for rel in scan_files:
             rules.check_tokens(ctx, rel)
-    if "store-io" in active_rules:
-        for rel in scan_files:
-            rules.check_store_io(ctx, rel)
     if "raw-units" in active_rules:
         for sub in ("src/timing", "src/power"):
             for rel in ctx.cxx_files([sub]):

@@ -10,7 +10,7 @@
   layering        the src/ include graph must respect the layer order
                   arch < sim < {clock,exec,stats} <
                   {power,timing,io,mem,security} <
-                  {platform,workload,flows} < core < {store,fleet}: no
+                  {platform,workload,flows} < core < fleet: no
                   include may point at a higher tier, same-tier
                   sibling includes must stay acyclic, and no
                   file-level include cycle is permitted anywhere.
@@ -50,7 +50,7 @@ LAYER_TIERS = (
     ("power", "timing", "io", "mem", "security"),
     ("platform", "workload", "flows"),
     ("core",),
-    ("store", "fleet"),
+    ("fleet",),
 )
 
 _TIER_OF = {d: i for i, tier in enumerate(LAYER_TIERS) for d in tier}
@@ -95,8 +95,7 @@ def run_layering(ctx):
                            f"(tier {_TIER_OF[target_dir]}): the layer "
                            "order is arch < sim < {clock,exec,stats} < "
                            "{power,timing,io,mem,security} < "
-                           "{platform,workload,flows} < core < "
-                           "{store,fleet}")
+                           "{platform,workload,flows} < core < fleet")
             if target_dir != d:
                 dir_edges.setdefault(d, set()).add(target_dir)
         file_edges[rel] = edges

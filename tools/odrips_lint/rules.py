@@ -10,7 +10,7 @@ import os
 import re
 
 __all__ = [
-    "TOKEN_RULES", "check_tokens", "check_raw_units", "check_store_io",
+    "TOKEN_RULES", "check_tokens", "check_raw_units",
     "check_cmake_targets", "check_tsan_labels",
     "WALL_CLOCK_RE", "STATE_COPY_TYPES", "strip_cmake_comments",
 ]
@@ -160,40 +160,6 @@ def check_raw_units(ctx, rel):
                        "raw double with a seconds/joules/watts "
                        "name in a public header; use the strong "
                        "types from sim/units.hh")
-
-
-# Result-store segment files. A file "handles" the store when ".odst"
-# appears outside comments (in code or a string literal); in such a
-# file, raw file-open primitives bypass store::ResultStore's CRC and
-# temp-file+rename discipline. Reads/writes on an already-open handle
-# follow the open, so only the opening primitives are matched.
-STORE_FILE_TOKEN = ".odst"
-RAW_STORE_IO_RE = re.compile(
-    r"\bstd::[io]?fstream\b|\b[io]fstream\b"
-    r"|\b(?:std::)?fopen\s*\(|\b::open\s*\(|\.\s*open\s*\("
-    r"|\bmmap\s*\(|\bcreat\s*\(")
-
-# The one directory allowed to touch segment files byte-wise.
-STORE_IO_EXEMPT_PREFIX = "src/store/"
-
-
-def check_store_io(ctx, rel):
-    """Raw file I/O in a file that handles .odst store segments."""
-    info = ctx.file(rel)
-    posix = rel.replace(os.sep, "/")
-    if info is None or posix.startswith(STORE_IO_EXEMPT_PREFIX):
-        return
-    handles_store = any(
-        STORE_FILE_TOKEN in raw and STORE_FILE_TOKEN not in comment
-        for raw, comment in zip(info.raw, info.comments))
-    if not handles_store:
-        return
-    for idx, line in enumerate(info.code):
-        if RAW_STORE_IO_RE.search(line):
-            ctx.report(rel, idx, "store-io",
-                       "raw file I/O in a file that handles .odst "
-                       "segments; go through store::ResultStore "
-                       "(CRC-checked reads, atomic sealed writes)")
 
 
 # -- build-integration rules ----------------------------------------------

@@ -96,10 +96,6 @@ class BadTree(unittest.TestCase):
         self.assertIn(("src/core/state_copy.cc", "state-memcpy"),
                       self.found)
 
-    def test_store_io_rule(self):
-        self.assertIn(("src/core/store_writer.cc", "store-io"),
-                      self.found)
-
     def test_registered_files_not_flagged(self):
         self.assertNotIn(("src/sim/clock_user.cc", "cmake-target"),
                          self.found)
@@ -176,34 +172,6 @@ class StateMemcpyScope(unittest.TestCase):
                         "--rules", "state-memcpy")
         lines = [l for l in proc.stdout.splitlines() if ": [" in l]
         self.assertEqual(len(lines), 2, proc.stdout)
-
-
-class StoreIoScope(unittest.TestCase):
-    """src/store/ is the sanctioned home for raw .odst segment I/O;
-    allow-tagged fixture surgery and files that mention .odst only in
-    comments stay legal."""
-
-    def test_store_directory_and_tagged_surgery_are_exempt(self):
-        proc = run_lint(os.path.join(FIXTURES, "good"),
-                        "--rules", "store-io")
-        self.assertEqual(proc.returncode, 0, proc.stdout)
-
-    def test_raw_segment_io_outside_store_is_flagged(self):
-        proc = run_lint(os.path.join(FIXTURES, "bad"),
-                        "--rules", "store-io")
-        found = findings(proc)
-        self.assertEqual(found,
-                         {("src/core/store_writer.cc", "store-io")})
-
-    def test_both_open_primitives_are_reported(self):
-        # store_writer.cc seeds an ofstream and an fopen; both lines
-        # must be reported (distinct line numbers).
-        proc = run_lint(os.path.join(FIXTURES, "bad"),
-                        "--rules", "store-io")
-        at = findings_at(proc)
-        self.assertIn(("src/core/store_writer.cc", 8, "store-io"), at,
-                      proc.stdout)
-        self.assertIn(("src/core/store_writer.cc", 10, "store-io"), at)
 
 
 class RuleSelection(unittest.TestCase):
