@@ -24,11 +24,14 @@
 #              regresses >25%. Not part of `all` — timings need an
 #              otherwise idle machine.
 #  simd        the security/SIMD differential suites (`ctest -L
-#              odrips_simd`) twice: once with native dispatch (the
-#              best kernels the CPU supports) and once pinned to the
-#              portable reference with ODRIPS_DISPATCH=scalar — so a
-#              bug in either side of the scalar/SIMD equivalence
-#              cannot pass unnoticed.
+#              odrips_simd`) three times: with native dispatch (the
+#              best kernels the CPU supports: SHA-NI for both single-
+#              and 8-stream SHA-256 where present), pinned to
+#              ODRIPS_DISPATCH=avx2 (so the AVX2 8-lane SHA-256 kernel,
+#              which native skips on SHA-NI hosts, still drives the MEE
+#              end to end) and pinned to the portable reference with
+#              ODRIPS_DISPATCH=scalar — so a bug in either side of the
+#              scalar/SIMD equivalence cannot pass unnoticed.
 #  ckpt        the checkpoint/fork differential suites (`ctest -L
 #              odrips_ckpt`) three ways — native, ODRIPS_DISPATCH=scalar
 #              and ODRIPS_CHECKPOINT=0 (the cold sweep path) — plus two
@@ -100,7 +103,7 @@ run_lint() {
 }
 
 run_simd() {
-    echo "== SIMD gate (ctest -L odrips_simd, native + scalar) =="
+    echo "== SIMD gate (ctest -L odrips_simd, native + avx2 + scalar) =="
     # Reuse an existing default tree as-is; the generator flag only
     # applies on first configure (it cannot change retroactively).
     local gen=()
@@ -110,6 +113,10 @@ run_simd() {
         --target security_test simd_dispatch_test
     echo "-- native dispatch --"
     ctest --test-dir build -L odrips_simd --output-on-failure -j "$jobs"
+    echo "-- ODRIPS_DISPATCH=avx2 --"
+    ODRIPS_DISPATCH=avx2 \
+        ctest --test-dir build -L odrips_simd --output-on-failure \
+        -j "$jobs"
     echo "-- ODRIPS_DISPATCH=scalar --"
     ODRIPS_DISPATCH=scalar \
         ctest --test-dir build -L odrips_simd --output-on-failure \

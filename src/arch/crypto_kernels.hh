@@ -52,6 +52,9 @@ void speckEncryptBatchAvx2(const std::uint64_t *roundKeys,
 /** Single-stream compress on the x86 SHA extensions. */
 void sha256CompressShaNi(std::uint32_t *state, const std::uint8_t *blocks,
                          std::size_t count);
+/** 8-stream compress on the SHA extensions, two streams in lockstep. */
+void sha256Compress8ShaNi(std::uint32_t *states, const std::uint8_t *blocks,
+                          std::size_t stride, std::size_t count);
 #endif
 
 } // namespace odrips::arch

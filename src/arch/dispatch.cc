@@ -17,7 +17,7 @@ namespace
 CryptoKernels
 makeScalar()
 {
-    return {DispatchLevel::Scalar, "scalar", "scalar", "scalar",
+    return {DispatchLevel::Scalar, "scalar", "scalar", "scalar", "scalar",
             sha256CompressScalar, sha256Compress8Scalar,
             speckEncryptBatchScalar};
 }
@@ -28,8 +28,8 @@ makeSse4()
 {
     // No dedicated multi-stream kernel at this level: the 8-way path
     // inherits the scalar reference (still correct, just not faster).
-    return {DispatchLevel::Sse4, "sse4", "sse4-msg-sched", "sse4-x2",
-            sha256CompressSse4, sha256Compress8Scalar,
+    return {DispatchLevel::Sse4, "sse4", "sse4-msg-sched", "scalar",
+            "sse4-x2", sha256CompressSse4, sha256Compress8Scalar,
             speckEncryptBatchSse4};
 }
 #endif
@@ -38,8 +38,8 @@ makeSse4()
 CryptoKernels
 makeAvx2()
 {
-    return {DispatchLevel::Avx2, "avx2", "avx2-msg-sched", "avx2-x4",
-            sha256CompressAvx2, sha256Compress8Avx2,
+    return {DispatchLevel::Avx2, "avx2", "avx2-msg-sched", "avx2-8lane",
+            "avx2-x4", sha256CompressAvx2, sha256Compress8Avx2,
             speckEncryptBatchAvx2};
 }
 #endif
@@ -90,9 +90,13 @@ makeNative()
     }
 #endif
 #if defined(ODRIPS_HAVE_SHANI_KERNELS)
+    // SHA-NI beats the AVX2 8-lane kernel on the MEE's 8-stream,
+    // 2-block MACs too: two streams in lockstep, four pairs per call.
     if (haveShaNi()) {
         k.sha256Compress = sha256CompressShaNi;
         k.sha256Name = "sha_ni";
+        k.sha256Compress8 = sha256Compress8ShaNi;
+        k.sha256x8Name = "sha_ni-x2";
     }
 #endif
     k.level = DispatchLevel::Native;

@@ -11,8 +11,8 @@
  *   ODRIPS_DISPATCH=sse4     SSE4.1 kernels (x86-64)
  *   ODRIPS_DISPATCH=avx2     AVX2 kernels (x86-64)
  *   ODRIPS_DISPATCH=native   best the CPU supports (default; uses
- *                            SHA-NI for single-stream SHA-256 when
- *                            present)
+ *                            SHA-NI for single- and 8-stream SHA-256
+ *                            when present)
  *
  * A requested level the CPU cannot run is clamped down to the best
  * supported level at or below it (with a one-time stderr note), so a
@@ -53,6 +53,7 @@ struct CryptoKernels
 
     /** Names of the selected kernels, for bench metadata. */
     const char *sha256Name;
+    const char *sha256x8Name;
     const char *speckName;
 
     /**

@@ -255,6 +255,10 @@ CycleProfileCache::getOrMeasure(const PlatformConfig &cfg,
 
     std::lock_guard<std::mutex> guard(mtx);
     ++stats.misses;
+    // A full memo is dropped whole: cheaper than any eviction order,
+    // and a sweep that revisits points re-fills it within one pass.
+    if (entries.size() >= maxEntries && !entries.contains(key))
+        entries.clear();
     if (entries.insert_or_assign(key, profile).second)
         ++stats.inserts;
     return profile;

@@ -13,6 +13,12 @@
  * The cache is process-global and thread-safe; parallel sweeps hit it
  * from worker threads. Set ODRIPS_PROFILE_CACHE=0 to bypass it (every
  * call then re-measures, the historical behaviour).
+ *
+ * The memo is bounded: it holds at most CycleProfileCache::maxEntries
+ * profiles (about 0.6 MB) and drops all of them at once when a new
+ * one would not fit, so a long stream of distinct design points runs
+ * in flat memory. Dropping only costs re-measurements; the counters
+ * stay monotonic across it.
  */
 
 #ifndef ODRIPS_CORE_PROFILE_CACHE_HH
@@ -55,7 +61,9 @@ struct ProfileKey
 ProfileKey profileKey(const PlatformConfig &cfg,
                       const TechniqueSet &techniques);
 
-/** Cache counters (monotonic; misses count actual re-measurements). */
+/** Cache counters (monotonic; misses count actual re-measurements,
+ * inserts count every entry added, including ones a full memo later
+ * dropped). */
 struct CycleProfileCacheStats
 {
     /** Served from the in-memory memo. */
@@ -76,6 +84,9 @@ struct CycleProfileCacheStats
 class CycleProfileCache
 {
   public:
+    /** Most profiles the memo holds before it drops them all. */
+    static constexpr std::size_t maxEntries = 4096;
+
     /**
      * Return the cached profile for (@p cfg, @p techniques), measuring
      * it on a miss. Concurrent misses on the same key may both measure
@@ -87,7 +98,7 @@ class CycleProfileCache
 
     CycleProfileCacheStats statistics() const;
 
-    /** Number of distinct cached profiles. */
+    /** Number of distinct cached profiles (at most maxEntries). */
     std::size_t entryCount() const;
 
     /** Drop all entries and reset the counters. */

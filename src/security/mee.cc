@@ -15,6 +15,13 @@ namespace
 /** Domain separator of the per-line MACs ("LINE"). */
 constexpr std::uint64_t lineMacDomain = 0x4c494e45ULL;
 
+/** Domain separator of counter node (@p level, @p group)'s MAC. */
+constexpr std::uint64_t
+nodeMacDomain(unsigned level, std::uint64_t group)
+{
+    return 0x4e4f4445ULL ^ (std::uint64_t{level} << 56) ^ group;
+}
+
 } // namespace
 
 void
@@ -104,9 +111,10 @@ Mee::fetchNode(NodeKind kind, unsigned level, std::uint64_t group,
         penalty_ns * 1e-9 +
         static_cast<double>(sizeof(buf)) / mem.peakBandwidth());
 
-    const MeeInsertResult r =
+    MeeInsertResult r =
         cache.insert(key, MetadataNode::deserialize(buf), is_write);
     if (r.writeback) {
+        settleEvictedMac(r.writeback->first, r.writeback->second);
         writebackNode(r.writeback->first, r.writeback->second, now);
         latency += secondsToTicks(
             static_cast<double>(MetadataNode::storageBytes) /
@@ -122,11 +130,95 @@ Mee::nodeMac(unsigned level, std::uint64_t group, const MetadataNode &node,
     // The counter array is contiguous, so it streams into the MAC in
     // place; no staging copy. Digest is identical to MACing the
     // concatenated buffer.
-    const std::uint64_t domain =
-        0x4e4f4445ULL ^ (std::uint64_t{level} << 56) ^ group;
-    return mac64(cfg.key, domain,
+    return mac64(cfg.key, nodeMacDomain(level, group),
                  {{node.counters.data(), 8 * MetadataNode::arity},
                   {&parent_counter, 8}});
+}
+
+void
+Mee::batchNodeMacs(const NodeMacInput *in, std::size_t count,
+                   std::uint64_t *out) const
+{
+    if (count == macBatchLines) {
+        std::uint64_t domains[macBatchLines];
+        MacSegment segments[macBatchLines * 2];
+        for (std::size_t b = 0; b < macBatchLines; ++b) {
+            domains[b] = nodeMacDomain(in[b].level, in[b].group);
+            segments[2 * b] = {in[b].node.counters.data(),
+                               8 * MetadataNode::arity};
+            segments[2 * b + 1] = {&in[b].parent, 8};
+        }
+        mac64x8(cfg.key, domains, segments, 2, out);
+        return;
+    }
+    for (std::size_t b = 0; b < count; ++b)
+        out[b] = nodeMac(in[b].level, in[b].group, in[b].node,
+                         in[b].parent);
+}
+
+void
+Mee::deferNodeMac(unsigned level, std::uint64_t key, std::uint64_t parent)
+{
+    std::size_t &last = lastOwedAt[level];
+    if (last < owedMacs.size() && owedMacs[last].key == key &&
+        owedMacs[last].owed) {
+        owedMacs[last].parent = parent;
+        return;
+    }
+    const auto [it, inserted] = owedIndex.try_emplace(key, owedMacs.size());
+    if (inserted)
+        owedMacs.push_back({key, parent, true});
+    else
+        owedMacs[it->second].parent = parent;
+    last = it->second;
+}
+
+void
+Mee::settleEvictedMac(std::uint64_t key, MetadataNode &node)
+{
+    const auto it = owedIndex.find(key);
+    if (it == owedIndex.end())
+        return;
+    OwedMac &owed = owedMacs[it->second];
+    NodeKind kind;
+    unsigned level;
+    std::uint64_t group;
+    splitKey(key, kind, level, group);
+    node.mac = nodeMac(level, group, node, owed.parent);
+    owed.owed = false;
+    owedIndex.erase(it);
+}
+
+void
+Mee::settleNodeMacs()
+{
+    // Owed nodes are resident (a writeback settles and drops its entry)
+    // and nothing evicts while they are MACed, so the pointers stay
+    // valid for the whole batch.
+    NodeMacInput in[macBatchLines];
+    MetadataNode *nodes[macBatchLines];
+    std::uint64_t macs[macBatchLines];
+    std::size_t n = 0;
+    auto flushBatch = [&] {
+        batchNodeMacs(in, n, macs);
+        for (std::size_t b = 0; b < n; ++b)
+            nodes[b]->mac = macs[b];
+        n = 0;
+    };
+    for (const OwedMac &owed : owedMacs) {
+        if (!owed.owed)
+            continue;
+        NodeKind kind;
+        splitKey(owed.key, kind, in[n].level, in[n].group);
+        nodes[n] = &cache.nodeFor(owed.key);
+        in[n].node = *nodes[n];
+        in[n].parent = owed.parent;
+        if (++n == macBatchLines)
+            flushBatch();
+    }
+    flushBatch();
+    owedMacs.clear();
+    owedIndex.clear();
 }
 
 std::uint64_t
@@ -331,6 +423,9 @@ Mee::secureWrite(std::uint64_t addr, const std::uint8_t *data,
     transferCrypto(addr, writeScratch.data(), lines,
                    versionScratch.data(), false, macScratch.data());
 
+    // A hint only: deferNodeMac checks the entry's key and debt.
+    lastOwedAt.assign(tree.counterLevels(), 0);
+
     // Modeled metadata walk, in batches of up to 8 lines. The per-line
     // metadata accesses keep their relative order inside each phase,
     // and a batch of consecutive lines shares its counter/MAC groups
@@ -366,7 +461,11 @@ Mee::secureWrite(std::uint64_t addr, const std::uint8_t *data,
                 macScratch[done + b];
         }
 
-        // Propagate: bump parents and re-MAC every node on the path.
+        // Propagate: bump parents and touch every node on the path.
+        // Each node's MAC is deferred to its writeback or the end of
+        // the burst: every counter change is followed by this touch in
+        // the same line's walk, so the MAC computed from the last
+        // touch's parent equals the per-line re-MAC's final value.
         for (std::uint64_t b = 0; b < batch; ++b) {
             std::uint64_t idx = lineIndex[b];
             for (unsigned level = 0; level < tree.counterLevels();
@@ -375,16 +474,19 @@ Mee::secureWrite(std::uint64_t addr, const std::uint8_t *data,
                 const std::uint64_t parent =
                     parentCounter(level, group, true, now, latency,
                                   false);
-                MetadataNode &node =
-                    fetchNode(NodeKind::CounterGroup, level, group, true,
-                              now, latency, false);
-                node.mac = nodeMac(level, group, node, parent);
+                fetchNode(NodeKind::CounterGroup, level, group, true, now,
+                          latency, false);
+                deferNodeMac(level,
+                             TreeLayout::nodeKey(NodeKind::CounterGroup,
+                                                 level, group),
+                             parent);
                 idx = group;
             }
         }
         stats.linesWritten += batch;
         done += batch;
     }
+    settleNodeMacs();
 
     // Stream the ciphertext to memory in one burst.
     MemAccessResult mem_result =
@@ -436,8 +538,21 @@ Mee::secureRead(std::uint64_t addr, std::uint8_t *data, std::uint64_t len,
     transferCrypto(addr, data, lines, versionScratch.data(), true,
                    macScratch.data());
 
+    // Node MAC checks, verified 8 at a time (authenticity is the AND
+    // of all of them, so the order does not matter).
+    NodeMacInput checks[macBatchLines];
+    std::uint64_t checkMacs[macBatchLines];
+    std::size_t pendingChecks = 0;
+    auto verifyChecks = [&] {
+        batchNodeMacs(checks, pendingChecks, checkMacs);
+        for (std::size_t c = 0; c < pendingChecks; ++c)
+            if (checks[c].node.mac != checkMacs[c])
+                authentic = false;
+        pendingChecks = 0;
+    };
+
     // Modeled metadata walk, batched like secureWrite.
-    verifiedScratch.assign(tree.counterLevels(), VerifiedNode{});
+    verifiedScratch.assign(tree.counterLevels(), std::nullopt);
     std::uint64_t done = 0;
     while (done < lines) {
         const std::uint64_t batch =
@@ -485,11 +600,12 @@ Mee::secureRead(std::uint64_t addr, std::uint8_t *data, std::uint64_t len,
                 // equal to the last one this burst verified at its level
                 // would recompute a bit-identical MAC, so skip it. The
                 // fetches above still run (traffic, stats, LRU unchanged).
-                const VerifiedNode seen{true, group, parent, node};
+                const NodeMacInput seen{level, group, parent, node};
                 if (verifiedScratch[level] != seen) {
-                    if (node.mac != nodeMac(level, group, node, parent))
-                        authentic = false;
                     verifiedScratch[level] = seen;
+                    checks[pendingChecks] = seen;
+                    if (++pendingChecks == macBatchLines)
+                        verifyChecks();
                 }
                 idx = group;
             }
@@ -497,6 +613,7 @@ Mee::secureRead(std::uint64_t addr, std::uint8_t *data, std::uint64_t len,
         stats.linesRead += batch;
         done += batch;
     }
+    verifyChecks();
 
     if (!authentic)
         ++stats.authFailures;

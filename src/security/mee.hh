@@ -20,6 +20,8 @@
 #define ODRIPS_SECURITY_MEE_HH
 
 #include <cstdint>
+#include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "mem/main_memory.hh"
@@ -209,6 +211,38 @@ class Mee : public SecureMemoryPath, public Named
                           const MetadataNode &node,
                           std::uint64_t parent_counter) const;
 
+    /** The inputs of one nodeMac(). */
+    struct NodeMacInput
+    {
+        unsigned level = 0;
+        std::uint64_t group = 0;
+        std::uint64_t parent = 0;
+        MetadataNode node;
+        bool operator==(const NodeMacInput &) const = default;
+    };
+
+    /**
+     * nodeMac() of @p count inputs into @p out. A full batch of 8 runs
+     * through mac64x8; partial batches fall back to per-node nodeMac().
+     * Bit-identical either way.
+     */
+    void batchNodeMacs(const NodeMacInput *in, std::size_t count,
+                       std::uint64_t *out) const;
+
+    /**
+     * Write path: counter node @p key was just updated under parent
+     * counter @p parent. Its MAC is owed until the node is written back
+     * (settleEvictedMac) or the burst ends (settleNodeMacs).
+     */
+    void deferNodeMac(unsigned level, std::uint64_t key,
+                      std::uint64_t parent);
+
+    /** MAC an evicted @p node before its writeback if it owes one. */
+    void settleEvictedMac(std::uint64_t key, MetadataNode &node);
+
+    /** MAC every resident node the burst still owes, 8 at a time. */
+    void settleNodeMacs();
+
     /** MAC over a data line's ciphertext and version. */
     std::uint64_t lineMac(std::uint64_t addr, std::uint64_t version,
                           const std::uint8_t *ciphertext) const;
@@ -280,15 +314,22 @@ class Mee : public SecureMemoryPath, public Named
     std::vector<std::uint64_t> macScratch;
     /** Per tree level, the last counter node a secureRead burst
      * verified (an identical node skips its MAC check). */
-    struct VerifiedNode
+    std::vector<std::optional<NodeMacInput>> verifiedScratch;
+    /** A counter node whose MAC the current write burst owes, with the
+     * parent counter of its latest update. */
+    struct OwedMac
     {
-        bool valid = false;
-        std::uint64_t group = 0;
-        std::uint64_t parent = 0;
-        MetadataNode node;
-        bool operator==(const VerifiedNode &) const = default;
+        std::uint64_t key;
+        std::uint64_t parent;
+        /** False once settled by a writeback. */
+        bool owed;
     };
-    std::vector<VerifiedNode> verifiedScratch;
+    std::vector<OwedMac> owedMacs;
+    /** Key -> owedMacs index of every entry still owed. */
+    std::unordered_map<std::uint64_t, std::size_t> owedIndex;
+    /** Per tree level, the owedMacs index last deferred there (most
+     * consecutive updates at a level hit the same node). */
+    std::vector<std::size_t> lastOwedAt;
     /** Transfer-crypto pool override (setTransferPool). */
     exec::ThreadPool *transferPoolOverride = nullptr;
     bool transferPoolSet = false;

@@ -2,8 +2,8 @@
  * @file
  * Tests for the memoised cycle-profile cache: key construction is a
  * content hash (any config field change re-keys), cached results are
- * bit-identical to fresh measurements, and the counters track hits and
- * rebuilds.
+ * bit-identical to fresh measurements, the counters track hits and
+ * rebuilds, and the memo stays within its bound.
  */
 
 #include <gtest/gtest.h>
@@ -128,6 +128,40 @@ TEST(CycleProfileCacheTest, ClearDropsEntriesAndCounters)
     EXPECT_EQ(cache.statistics().misses, 1u);
     EXPECT_EQ(cache.statistics().hits, 0u);
     EXPECT_EQ(cache.entryCount(), 1u);
+}
+
+TEST(CycleProfileCacheTest, FullMemoIsDroppedWholeAndCountersKeepCounting)
+{
+    CycleProfileCache cache;
+    PlatformConfig cfg = skylakeConfig();
+    const TechniqueSet techniques = TechniqueSet::baseline();
+
+    // The name is hashed into the key but changes nothing measured, so
+    // every point is a distinct entry at the cost of one cheap profile.
+    const std::size_t points = CycleProfileCache::maxEntries + 9;
+    CycleProfileCacheStats last;
+    for (std::size_t i = 0; i < points; ++i) {
+        cfg.name = "bound-" + std::to_string(i);
+        cache.getOrMeasure(cfg, techniques);
+        ASSERT_LE(cache.entryCount(), CycleProfileCache::maxEntries);
+        const CycleProfileCacheStats now = cache.statistics();
+        ASSERT_GE(now.hits, last.hits);
+        ASSERT_EQ(now.misses, last.misses + 1);
+        ASSERT_EQ(now.inserts, last.inserts + 1);
+        last = now;
+    }
+    // Point maxEntries found the memo full and dropped it whole.
+    EXPECT_EQ(cache.entryCount(), points - CycleProfileCache::maxEntries);
+    EXPECT_EQ(last.misses, points);
+    EXPECT_EQ(last.inserts, points);
+    EXPECT_EQ(last.hits, 0u);
+
+    // The newest point survived the drop: a repeat is a pure hit.
+    const CyclePowerProfile warm = cache.getOrMeasure(cfg, techniques);
+    EXPECT_EQ(cache.statistics().hits, 1u);
+    EXPECT_EQ(cache.statistics().misses, points);
+    EXPECT_EQ(warm.idlePower,
+              measureCycleProfileUncached(cfg, techniques).idlePower);
 }
 
 TEST(CycleProfileCacheTest, GlobalEntryPointIsMemoised)

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "mem/dram.hh"
+#include "mee_geometries.hh"
 #include "security/mee.hh"
 #include "sim/random.hh"
 
@@ -17,13 +18,6 @@ using namespace odrips;
 
 namespace
 {
-
-struct MeeGeometry
-{
-    std::uint64_t regionBytes;
-    std::size_t cacheNodes;
-    std::size_t associativity;
-};
 
 class MeeGeometryTest : public ::testing::TestWithParam<MeeGeometry>
 {
@@ -168,21 +162,8 @@ TEST_P(MeeGeometryTest, AnySingleBitFlipDetected)
     EXPECT_EQ(out, data);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Geometries, MeeGeometryTest,
-    ::testing::Values(
-        MeeGeometry{4096, 4, 1},          // tiny direct-ish cache
-        MeeGeometry{4096, 64, 8},         // cache larger than tree
-        MeeGeometry{64 << 10, 16, 2},     // thrashing cache
-        MeeGeometry{64 << 10, 128, 8},    // default-ish
-        MeeGeometry{200 << 10, 128, 8},   // the paper's context size
-        MeeGeometry{200 << 10, 8, 8},     // single-set cache
-        MeeGeometry{1 << 20, 256, 4}),    // 1 MB region, 5-level tree
-    [](const ::testing::TestParamInfo<MeeGeometry> &param_info) {
-        return std::to_string(param_info.param.regionBytes >> 10) +
-               "kB_" +
-               std::to_string(param_info.param.cacheNodes) + "n_" +
-               std::to_string(param_info.param.associativity) + "w";
-    });
+INSTANTIATE_TEST_SUITE_P(Geometries, MeeGeometryTest,
+                         ::testing::ValuesIn(meeGeometries),
+                         meeGeometryName);
 
 } // namespace

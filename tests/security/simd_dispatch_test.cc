@@ -3,8 +3,9 @@
  * Differential tests for the runtime-dispatched SIMD crypto kernels:
  * every dispatch level the CPU can run must produce bit-identical
  * results to the portable scalar reference — SHA-256 across message
- * lengths, alignments, and streaming split points; SPECK-128 CTR
- * across batch sizes; mac64x8 against eight mac64 calls; and a full
+ * lengths, alignments, and streaming split points; the 8-stream
+ * compression kernels against eight scalar compressions; SPECK-128
+ * CTR across batch sizes; mac64x8 against eight mac64 calls; and a full
  * MEE context round trip (ciphertext, MACs, stats).
  *
  * Registered under the `odrips_simd` ctest label; scripts/check.sh
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "arch/cpu_features.hh"
+#include "arch/crypto_kernels.hh"
 #include "arch/dispatch.hh"
 #include "mem/dram.hh"
 #include "security/ctr_mode.hh"
@@ -230,6 +232,47 @@ TEST(SimdDispatchTest, CtrModeMatchesScalarAcrossLengthsAndOffsets)
             }
         }
     }
+}
+
+/** Every level's 8-stream kernel, called directly, against eight
+ * scalar compressions: 1-4 blocks per stream, strides of 1-3 blocks
+ * (a 64 B stride with several blocks overlaps the streams' inputs),
+ * aligned and unaligned bases, random starting states. */
+TEST(SimdDispatchTest, Sha256Compress8MatchesEightScalarCompressions)
+{
+    Rng rng(0x5ca8);
+    const std::vector<std::uint8_t> data = randomBytes(rng, 8 * 4 * 64 + 64);
+
+    std::vector<arch::DispatchLevel> levels = testableLevels();
+    levels.push_back(arch::DispatchLevel::Scalar);
+    for (const std::size_t offset : {std::size_t{0}, std::size_t{5}})
+        for (const std::size_t stride : {64, 128, 192})
+            for (std::size_t count = 1; count <= 4; ++count) {
+                const std::uint8_t *base = data.data() + offset;
+                std::uint32_t initial[64];
+                for (std::uint32_t &w : initial)
+                    w = static_cast<std::uint32_t>(rng.next64());
+
+                std::uint32_t reference[64];
+                std::memcpy(reference, initial, sizeof(initial));
+                for (std::size_t i = 0; i < 8; ++i)
+                    arch::sha256CompressScalar(reference + 8 * i,
+                                               base + i * stride, count);
+
+                for (arch::DispatchLevel level : levels) {
+                    const arch::CryptoKernels &k = arch::kernelsFor(level);
+                    std::uint32_t states[64];
+                    std::memcpy(states, initial, sizeof(initial));
+                    k.sha256Compress8(states, base, stride, count);
+                    ASSERT_EQ(std::memcmp(reference, states,
+                                          sizeof(states)),
+                              0)
+                        << "kernel=" << k.sha256x8Name
+                        << " level=" << k.levelName
+                        << " offset=" << offset << " stride=" << stride
+                        << " count=" << count;
+                }
+            }
 }
 
 TEST(SimdDispatchTest, Mac64x8MatchesEightMac64Calls)
