@@ -157,8 +157,10 @@ Mee::batchNodeMacs(const NodeMacInput *in, std::size_t count,
 }
 
 void
-Mee::deferNodeMac(unsigned level, std::uint64_t key, std::uint64_t parent)
+Mee::deferNodeMac(unsigned level, std::uint64_t group, std::uint64_t parent)
 {
+    const std::uint64_t key =
+        TreeLayout::nodeKey(NodeKind::CounterGroup, level, group);
     std::size_t &last = lastOwedAt[level];
     if (last < owedMacs.size() && owedMacs[last].key == key &&
         owedMacs[last].owed) {
@@ -476,10 +478,7 @@ Mee::secureWrite(std::uint64_t addr, const std::uint8_t *data,
                                   false);
                 fetchNode(NodeKind::CounterGroup, level, group, true, now,
                           latency, false);
-                deferNodeMac(level,
-                             TreeLayout::nodeKey(NodeKind::CounterGroup,
-                                                 level, group),
-                             parent);
+                deferNodeMac(level, group, parent);
                 idx = group;
             }
         }

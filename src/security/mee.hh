@@ -230,11 +230,12 @@ class Mee : public SecureMemoryPath, public Named
                        std::uint64_t *out) const;
 
     /**
-     * Write path: counter node @p key was just updated under parent
-     * counter @p parent. Its MAC is owed until the node is written back
-     * (settleEvictedMac) or the burst ends (settleNodeMacs).
+     * Write path: counter node (@p level, @p group) was just updated
+     * under parent counter @p parent. Its MAC is owed until the node is
+     * written back (settleEvictedMac) or the burst ends
+     * (settleNodeMacs).
      */
-    void deferNodeMac(unsigned level, std::uint64_t key,
+    void deferNodeMac(unsigned level, std::uint64_t group,
                       std::uint64_t parent);
 
     /** MAC an evicted @p node before its writeback if it owes one. */

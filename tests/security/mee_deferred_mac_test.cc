@@ -109,7 +109,7 @@ class MeeDeferredMacTest : public ::testing::TestWithParam<MeeGeometry>
                                  out.size()));
     }
 
-    /** flush(), then fold the data and metadata regions into @p h. */
+    /** flush(), then fold the data and metadata regions into hash. */
     void
     flushAndDigest()
     {
